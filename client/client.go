@@ -249,8 +249,8 @@ func (c *Client) statement(typ byte, sql string) (*Result, error) {
 	}
 }
 
-// Query runs one SELECT. Outside a transaction it is eligible for the
-// server's shared snapshot execution.
+// Query runs one SELECT — inside the session transaction when one is open,
+// in its own read snapshot otherwise.
 func (c *Client) Query(sql string) (*Result, error) {
 	return c.statement(server.FrameQuery, sql)
 }

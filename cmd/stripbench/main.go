@@ -25,6 +25,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 
 	"github.com/stripdb/strip/internal/cost"
 	"github.com/stripdb/strip/internal/ptabench"
@@ -207,4 +208,19 @@ func printTable1() {
 func fail(err error) {
 	fmt.Fprintln(os.Stderr, "stripbench:", err)
 	os.Exit(1)
+}
+
+// pct returns the nearest-rank p-th percentile of the (unsorted) samples,
+// the one percentile definition every experiment reports.
+func pct(samples []int64, p int) int64 {
+	if len(samples) == 0 {
+		return 0
+	}
+	s := append([]int64(nil), samples...)
+	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	idx := (len(s)*p + 99) / 100
+	if idx > 0 {
+		idx--
+	}
+	return s[idx]
 }

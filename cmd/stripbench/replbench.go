@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -59,13 +58,6 @@ type replResult struct {
 	ReadScalingReplicas int     `json:"read_scaling_replicas"`
 	ReadScaling         float64 `json:"read_scaling"`
 	MaxLagP95Micros     int64   `json:"max_lag_p95_micros"`
-}
-
-func pctOf(sorted []int64, p float64) int64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	return sorted[int(p*float64(len(sorted)-1))]
 }
 
 // replOnce runs one replica-count cell: a fresh primary, n converged
@@ -238,21 +230,19 @@ func replOnce(replicas, perNode, rows int, arrival, d time.Duration) (replRun, e
 	for _, l := range lats {
 		all = append(all, l...)
 	}
-	sort.Slice(all, func(a, b int) bool { return all[a] < all[b] })
-	sort.Slice(lagSamples, func(a, b int) bool { return lagSamples[a] < lagSamples[b] })
 
 	run := replRun{
 		Replicas:     replicas,
 		Readers:      readers,
 		Reads:        done,
 		ReadQPS:      float64(done) / elapsed.Seconds(),
-		P50Micros:    pctOf(all, 0.50),
-		P95Micros:    pctOf(all, 0.95),
-		P99Micros:    pctOf(all, 0.99),
+		P50Micros:    pct(all, 50),
+		P95Micros:    pct(all, 95),
+		P99Micros:    pct(all, 99),
 		Writes:       atomic.LoadInt64(&writes),
 		WriteQPS:     float64(atomic.LoadInt64(&writes)) / elapsed.Seconds(),
-		LagP50Micros: pctOf(lagSamples, 0.50),
-		LagP95Micros: pctOf(lagSamples, 0.95),
+		LagP50Micros: pct(lagSamples, 50),
+		LagP95Micros: pct(lagSamples, 95),
 	}
 	if replicas > 0 {
 		run.ReplicaReads = done

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,37 +14,24 @@ import (
 )
 
 // The serve experiment measures stripd under an open-loop read sweep: n
-// remote clients each issue shareable SELECTs on a fixed arrival schedule
-// (latency is measured from the scheduled send time, so queueing delay is
-// charged — no coordinated omission), against two server configurations:
-//
-//   - perquery: ShareWindow 0 — every QUERY frame runs its own read-only
-//     snapshot transaction and table scan.
-//   - shared:   ShareWindow 2ms — compatible QUERY frames arriving within
-//     one gather window batch onto a single snapshot scan at one LSN and
-//     demultiplex rows to each waiting session.
-//
-// At low client counts the shared mode pays the gather window in latency
-// for nothing; past the crossover the scan amortization dominates and
-// shared qps pulls ahead — the SharedDB bet, measured end to end through
-// the wire protocol. A low-rate writer keeps LSNs advancing so snapshot
-// reads exercise real version chains.
+// remote clients each issue SELECTs on a fixed arrival schedule (latency
+// is measured from the scheduled send time, so queueing delay is charged —
+// no coordinated omission). Every QUERY frame runs its own read-only
+// snapshot transaction, so past the executor's capacity qps flattens and
+// latency grows with the queue. A low-rate writer keeps LSNs advancing so
+// snapshot reads exercise real version chains.
 
 type serveRun struct {
-	Mode    string `json:"mode"` // perquery, shared
-	Clients int    `json:"clients"`
+	Clients int `json:"clients"`
 
-	Queries  int64   `json:"queries"`
-	QPS      float64 `json:"qps"`
-	P50Micros int64  `json:"p50_micros"`
-	P95Micros int64  `json:"p95_micros"`
-	P99Micros int64  `json:"p99_micros"`
+	Queries   int64   `json:"queries"`
+	QPS       float64 `json:"qps"`
+	P50Micros int64   `json:"p50_micros"`
+	P95Micros int64   `json:"p95_micros"`
+	P99Micros int64   `json:"p99_micros"`
 
-	SharedGroups    int64 `json:"shared_groups"`
-	SharedQueries   int64 `json:"shared_queries"`
-	SharedFallbacks int64 `json:"shared_fallbacks"`
-	SnapshotScans   int64 `json:"snapshot_scans"`
-	BusyRejected    int64 `json:"busy_rejected"`
+	SnapshotScans int64 `json:"snapshot_scans"`
+	BusyRejected  int64 `json:"busy_rejected"`
 }
 
 type serveResult struct {
@@ -55,30 +41,19 @@ type serveResult struct {
 	IntervalUs int64      `json:"arrival_interval_micros"`
 	DurationMs float64    `json:"duration_ms"`
 	Runs       []serveRun `json:"runs"`
-
-	// SharedSpeedup is shared qps / perquery qps at the largest client
-	// count (the acceptance cell: >= 256 concurrent readers).
-	SharedSpeedupClients int     `json:"shared_speedup_clients"`
-	SharedSpeedup        float64 `json:"shared_speedup"`
 }
 
 // serveArrival is each client's request schedule: one query per interval.
 const serveArrival = 4 * time.Millisecond
 
-// serveOnce runs one (mode, clients) cell on a fresh server for roughly d.
-func serveOnce(share bool, clients, rows int, d time.Duration) (serveRun, error) {
-	window := time.Duration(0)
-	mode := "perquery"
-	if share {
-		window, mode = 2*time.Millisecond, "shared"
-	}
+// serveOnce runs one client-count cell on a fresh server for roughly d.
+func serveOnce(clients, rows int, d time.Duration) (serveRun, error) {
 	db, err := strip.Open(strip.Config{
 		Workers:    2,
 		ListenAddr: "127.0.0.1:0",
 		Serve: strip.ServeOptions{
 			MaxConns:    clients + 16,
 			MaxInflight: clients + 16,
-			ShareWindow: window,
 		},
 	})
 	if err != nil {
@@ -91,10 +66,9 @@ func serveOnce(share bool, clients, rows int, d time.Duration) (serveRun, error)
 		db.MustExec(fmt.Sprintf(`insert into positions values ('P%04d', 100)`, i))
 	}
 
-	// Shareable query mix: single-table SELECTs over the same relation so
-	// the gatherer can batch them onto one scan. All three are scan-heavy
-	// with tiny outputs (aggregates and a point lookup on the unindexed
-	// key), so the cost being amortized is the snapshot scan itself.
+	// Scan-heavy query mix with tiny outputs: two aggregates and a point
+	// lookup on the unindexed key, so every query pays a full snapshot
+	// scan and the sweep measures the executor, not result encoding.
 	mix := []string{
 		`select sum(value) as total from positions`,
 		`select count(sym) as n from positions`,
@@ -190,30 +164,18 @@ func serveOnce(share bool, clients, rows int, d time.Duration) (serveRun, error)
 	for _, l := range lats {
 		all = append(all, l...)
 	}
-	sort.Slice(all, func(a, b int) bool { return all[a] < all[b] })
-	pct := func(p float64) int64 {
-		if len(all) == 0 {
-			return 0
-		}
-		idx := int(p * float64(len(all)-1))
-		return all[idx]
-	}
 
 	reg := db.Obs()
 	return serveRun{
-		Mode:      mode,
 		Clients:   clients,
 		Queries:   done,
 		QPS:       float64(done) / elapsed.Seconds(),
-		P50Micros: pct(0.50),
-		P95Micros: pct(0.95),
-		P99Micros: pct(0.99),
+		P50Micros: pct(all, 50),
+		P95Micros: pct(all, 95),
+		P99Micros: pct(all, 99),
 
-		SharedGroups:    reg.Counter(obs.MSharedGroups).Load(),
-		SharedQueries:   reg.Counter(obs.MSharedQueries).Load(),
-		SharedFallbacks: reg.Counter(obs.MSharedFallbacks).Load(),
-		SnapshotScans:   reg.Counter(obs.MMvccSnapshotScans).Load(),
-		BusyRejected:    reg.Counter(obs.MServerBusy).Load(),
+		SnapshotScans: reg.Counter(obs.MMvccSnapshotScans).Load(),
+		BusyRejected:  reg.Counter(obs.MServerBusy).Load(),
 	}, nil
 }
 
@@ -232,34 +194,21 @@ func runServeBench(metricsPath, scale string, progress func(string)) {
 		IntervalUs: serveArrival.Microseconds(),
 		DurationMs: float64(d.Microseconds()) / 1000,
 	}
-	qps := map[string]map[int]float64{"perquery": {}, "shared": {}}
-	for _, share := range []bool{false, true} {
-		for _, n := range sweep {
-			run, err := serveOnce(share, n, rows, d)
-			if err != nil {
-				fail(err)
-			}
-			qps[run.Mode][n] = run.QPS
-			res.Runs = append(res.Runs, run)
-			if progress != nil {
-				progress(fmt.Sprintf("serve mode=%-8s clients=%-4d qps=%.0f p95=%dµs groups=%d shared_q=%d",
-					run.Mode, run.Clients, run.QPS, run.P95Micros, run.SharedGroups, run.SharedQueries))
-			}
+	for _, n := range sweep {
+		run, err := serveOnce(n, rows, d)
+		if err != nil {
+			fail(err)
+		}
+		res.Runs = append(res.Runs, run)
+		if progress != nil {
+			progress(fmt.Sprintf("serve clients=%-4d qps=%.0f p95=%dµs", run.Clients, run.QPS, run.P95Micros))
 		}
 	}
 
-	maxN := sweep[len(sweep)-1]
-	res.SharedSpeedupClients = maxN
-	if pq := qps["perquery"][maxN]; pq > 0 {
-		res.SharedSpeedup = qps["shared"][maxN] / pq
-	}
-
-	fmt.Printf("%-10s %8s %12s %12s %12s %14s\n", "mode", "clients", "qps", "p95_µs", "p99_µs", "shared_groups")
+	fmt.Printf("%8s %12s %12s %12s %10s\n", "clients", "qps", "p95_µs", "p99_µs", "busy")
 	for _, r := range res.Runs {
-		fmt.Printf("%-10s %8d %12.0f %12d %12d %14d\n",
-			r.Mode, r.Clients, r.QPS, r.P95Micros, r.P99Micros, r.SharedGroups)
+		fmt.Printf("%8d %12.0f %12d %12d %10d\n", r.Clients, r.QPS, r.P95Micros, r.P99Micros, r.BusyRejected)
 	}
-	fmt.Printf("shared-scan speedup at %d clients: %.2fx\n", maxN, res.SharedSpeedup)
 
 	if metricsPath == "" {
 		return

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"sort"
 	"sync"
 	"time"
 
@@ -199,18 +198,4 @@ func seqWrites(db *strip.DB, n int) []int64 {
 		lat = append(lat, time.Since(start).Microseconds())
 	}
 	return lat
-}
-
-// pct returns the p-th percentile of the (unsorted) samples.
-func pct(samples []int64, p int) int64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	s := append([]int64(nil), samples...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	idx := (len(s)*p + 99) / 100
-	if idx > 0 {
-		idx--
-	}
-	return s[idx]
 }

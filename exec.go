@@ -29,6 +29,11 @@ func (db *DB) Exec(sql string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	return db.exec(stmt)
+}
+
+// exec runs one parsed statement as Exec does.
+func (db *DB) exec(stmt sqlparse.Stmt) (*Result, error) {
 	switch s := stmt.(type) {
 	case *sqlparse.CreateTable:
 		cols := make([]Column, len(s.Cols))
@@ -246,6 +251,11 @@ func (db *DB) ExecIn(tx *Txn, sql string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	return execIn(tx, stmt)
+}
+
+// execIn runs one parsed statement inside tx, as ExecIn does.
+func execIn(tx *Txn, stmt sqlparse.Stmt) (*Result, error) {
 	switch s := stmt.(type) {
 	case *sqlparse.SelectStmt:
 		res, err := s.Query.Run(tx, query.TxnResolver{})

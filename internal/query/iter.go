@@ -103,12 +103,6 @@ type scanOp struct {
 func (o *scanOp) open() error {
 	o.i = 0
 	s := o.ex.srcs[o.lp.src]
-	if o.ex.shared != nil && s.tbl != nil {
-		// Shared-scan leaf: the batch already materialized the record
-		// set at the group snapshot and charged its scan once.
-		o.recs, o.mode, o.mat = o.ex.shared, "shared", true
-		return nil
-	}
 	if s.tbl == nil {
 		o.mode = "temp"
 		return nil
@@ -153,9 +147,7 @@ func (o *scanOp) next() (bool, error) {
 		if o.i >= len(o.recs) {
 			return false, nil
 		}
-		if ex.shared == nil {
-			ex.tx.Charge(ex.model.ScanRow)
-		}
+		ex.tx.Charge(ex.model.ScanRow)
 		ex.cur[o.lp.src] = cursor{src: s, rec: o.recs[o.i]}
 	}
 	o.i++

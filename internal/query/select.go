@@ -191,23 +191,19 @@ func (q *Select) runQuery(tx *txn.Txn, res Resolver, wantNode bool) (*storage.Te
 	if err != nil {
 		return nil, nil, err
 	}
-	return c.execute(tx, srcs, nil, wantNode)
+	return c.execute(tx, srcs, wantNode)
 }
 
 // execute runs a compiled plan against this run's resolved sources.
-// When shared is non-nil the plan's single table source streams those
-// pre-materialized records instead of scanning (the shared-scan path,
-// which charged the batch scan once for the whole group).
-func (c *compiled) execute(tx *txn.Txn, srcs []*source, shared []*storage.Record, wantNode bool) (*storage.TempTable, *PlanNode, error) {
+func (c *compiled) execute(tx *txn.Txn, srcs []*source, wantNode bool) (*storage.TempTable, *PlanNode, error) {
 	ex := &exec{
-		c:      c,
-		q:      c.q,
-		tx:     tx,
-		model:  tx.Model(),
-		prof:   tx.Profile(),
-		srcs:   srcs,
-		cur:    make([]cursor, len(srcs)),
-		shared: shared,
+		c:     c,
+		q:     c.q,
+		tx:    tx,
+		model: tx.Model(),
+		prof:  tx.Profile(),
+		srcs:  srcs,
+		cur:   make([]cursor, len(srcs)),
 	}
 	if c.agg {
 		ex.aggregate = true
@@ -222,9 +218,6 @@ func (c *compiled) execute(tx *txn.Txn, srcs []*source, shared []*storage.Record
 	for _, p := range c.consts {
 		ok, err := p.eval(nil)
 		if err != nil {
-			if shared != nil {
-				ex.out.Retire()
-			}
 			return nil, nil, err
 		}
 		if !ok {
@@ -236,12 +229,6 @@ func (c *compiled) execute(tx *txn.Txn, srcs []*source, shared []*storage.Record
 	root := ex.buildTree()
 	if !empty {
 		if err := ex.drive(root); err != nil {
-			// Shared batches isolate per-query errors, so release this
-			// query's pinned rows; the per-query path surfaces the error
-			// to the transaction, which is about to abort wholesale.
-			if shared != nil {
-				ex.out.Retire()
-			}
 			return nil, nil, err
 		}
 	}
@@ -249,10 +236,9 @@ func (c *compiled) execute(tx *txn.Txn, srcs []*source, shared []*storage.Record
 	if err != nil {
 		return nil, nil, err
 	}
-	// Selectivity feedback: only full per-query runs report — a LIMIT may
-	// stop the drive early and shared-scan batches stream a subset, so
-	// either would undercount against the estimate.
-	if shared == nil && c.q.Limit == 0 {
+	// Selectivity feedback: only full runs report — a LIMIT may stop the
+	// drive early and would undercount against the estimate.
+	if c.q.Limit == 0 {
 		c.noteActual(ex.matched)
 	}
 	if len(c.q.OrderBy) > 0 {
@@ -310,9 +296,6 @@ type exec struct {
 	model cost.Model
 	srcs  []*source
 	cur   []cursor
-	// shared, when non-nil, replaces the single table source's scan with
-	// these pre-materialized records (RunShared).
-	shared []*storage.Record
 	// prof receives row accounting (rows visited/matched) when the
 	// transaction carries a cost profile; nil otherwise.
 	prof *txn.TxnProfile

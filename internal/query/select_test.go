@@ -10,6 +10,7 @@ import (
 	"github.com/stripdb/strip/internal/cost"
 	"github.com/stripdb/strip/internal/index"
 	"github.com/stripdb/strip/internal/lock"
+	"github.com/stripdb/strip/internal/obs"
 	"github.com/stripdb/strip/internal/storage"
 	"github.com/stripdb/strip/internal/txn"
 	"github.com/stripdb/strip/internal/types"
@@ -364,6 +365,43 @@ func TestSelectConstPredicate(t *testing.T) {
 	defer res.Retire()
 	if res.Len() != 0 {
 		t.Error("false constant predicate returned rows")
+	}
+}
+
+// TestSnapshotConstFalse: under a snapshot reader, a provably-false
+// constant predicate yields an empty — but present — result without a
+// snapshot scan, while an unfiltered query on the same reader still sees
+// every row.
+func TestSnapshotConstFalse(t *testing.T) {
+	mgr := env(t)
+	ro := mgr.BeginReadOnly()
+	defer ro.Commit()
+	scans := func() int64 { return mgr.Obs.Counter(obs.MMvccSnapshotScans).Load() }
+
+	before := scans()
+	res, err := (&Select{
+		Items: []SelectItem{Item(Col("symbol"), "")},
+		From:  []string{"stocks"},
+		Where: []Pred{Cmp(Const(types.Int(1)), EQ, Const(types.Int(2)))},
+	}).Run(ro, TxnResolver{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res == nil || res.Len() != 0 {
+		t.Fatalf("const-false query: want empty result, got %v", res)
+	}
+	res.Retire()
+	if d := scans() - before; d != 0 {
+		t.Errorf("const-false query ran %d snapshot scans", d)
+	}
+
+	all, err := (&Select{Items: []SelectItem{Item(Col("symbol"), "")}, From: []string{"stocks"}}).Run(ro, TxnResolver{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer all.Retire()
+	if all.Len() != 3 {
+		t.Fatalf("unfiltered query rows = %d, want 3", all.Len())
 	}
 }
 

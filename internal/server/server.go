@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"github.com/stripdb/strip/internal/obs"
+	"github.com/stripdb/strip/internal/sqlparse"
 	"github.com/stripdb/strip/internal/txn"
 	"github.com/stripdb/strip/internal/types"
 )
@@ -30,13 +31,11 @@ type Result struct {
 type Backend interface {
 	// Begin opens an interactive (locking) transaction.
 	Begin() *txn.Txn
-	// BeginReadOnly opens a lock-free snapshot transaction (shared scans).
-	BeginReadOnly() *txn.Txn
-	// Exec parses and runs one auto-committed statement.
-	Exec(sql string) (*Result, error)
-	// ExecIn parses and runs one statement inside tx.
-	ExecIn(tx *txn.Txn, sql string) (*Result, error)
-	// Obs is the engine's metrics registry (server.* and shared.* land here).
+	// Exec runs one parsed statement, auto-committed.
+	Exec(stmt sqlparse.Stmt) (*Result, error)
+	// ExecIn runs one parsed statement inside tx.
+	ExecIn(tx *txn.Txn, stmt sqlparse.Stmt) (*Result, error)
+	// Obs is the engine's metrics registry (server.* lands here).
 	Obs() *obs.Registry
 	// Now is engine time in microseconds, for metrics and trace events.
 	Now() int64
@@ -81,10 +80,6 @@ type Config struct {
 	IdleTxnTimeout time.Duration
 	// SessionLifetime bounds a session's total age; 0 = unbounded.
 	SessionLifetime time.Duration
-	// ShareWindow is the gather window for shared snapshot query execution:
-	// compatible QUERY frames arriving within one window batch onto a
-	// single snapshot scan. 0 disables sharing (every query runs alone).
-	ShareWindow time.Duration
 	// DrainTimeout bounds Close: sessions keep their connections long
 	// enough to COMMIT/ABORT in-flight transactions, then are cut.
 	// Default 5s.
@@ -112,10 +107,9 @@ func (c Config) withDefaults() Config {
 
 // Server is a running stripd listener.
 type Server struct {
-	cfg    Config
-	be     Backend
-	ln     net.Listener
-	gather *gatherer
+	cfg Config
+	be  Backend
+	ln  net.Listener
 
 	mu       sync.Mutex
 	sessions map[int64]*session
@@ -145,7 +139,6 @@ func Start(cfg Config, be Backend) (*Server, error) {
 		tenants:  make(map[string]int),
 		closedCh: make(chan struct{}),
 	}
-	s.gather = newGatherer(s)
 	s.wg.Add(2)
 	go s.acceptLoop()
 	go s.reapLoop()

@@ -30,21 +30,16 @@ type testBackend struct {
 	saturated atomic.Bool
 }
 
-func (b *testBackend) Begin() *txn.Txn         { return b.mgr.Begin() }
-func (b *testBackend) BeginReadOnly() *txn.Txn { return b.mgr.BeginReadOnly() }
-func (b *testBackend) Obs() *obs.Registry      { return b.mgr.Obs }
-func (b *testBackend) Now() int64              { return b.mgr.Clock.Now() }
-func (b *testBackend) Saturated() bool         { return b.saturated.Load() }
+func (b *testBackend) Begin() *txn.Txn    { return b.mgr.Begin() }
+func (b *testBackend) Obs() *obs.Registry { return b.mgr.Obs }
+func (b *testBackend) Now() int64         { return b.mgr.Clock.Now() }
+func (b *testBackend) Saturated() bool    { return b.saturated.Load() }
 
 func (b *testBackend) Repl() ReplStreamer { return nil }
 
 func (b *testBackend) ReplicaInfo() (bool, bool, int64) { return false, false, 0 }
 
-func (b *testBackend) Exec(sql string) (*Result, error) {
-	stmt, err := sqlparse.Parse(sql)
-	if err != nil {
-		return nil, err
-	}
+func (b *testBackend) Exec(stmt sqlparse.Stmt) (*Result, error) {
 	if sel, ok := stmt.(*sqlparse.SelectStmt); ok {
 		tx := b.mgr.BeginReadOnly()
 		defer tx.Commit() //nolint:errcheck
@@ -55,7 +50,7 @@ func (b *testBackend) Exec(sql string) (*Result, error) {
 		return resultFromTemp(out), nil
 	}
 	tx := b.mgr.Begin()
-	res, err := b.ExecIn(tx, sql)
+	res, err := b.ExecIn(tx, stmt)
 	if err != nil {
 		tx.Abort() //nolint:errcheck
 		return nil, err
@@ -66,11 +61,7 @@ func (b *testBackend) Exec(sql string) (*Result, error) {
 	return res, nil
 }
 
-func (b *testBackend) ExecIn(tx *txn.Txn, sql string) (*Result, error) {
-	stmt, err := sqlparse.Parse(sql)
-	if err != nil {
-		return nil, err
-	}
+func (b *testBackend) ExecIn(tx *txn.Txn, stmt sqlparse.Stmt) (*Result, error) {
 	switch s := stmt.(type) {
 	case *sqlparse.SelectStmt:
 		out, err := s.Query.Run(tx, query.TxnResolver{})
@@ -90,6 +81,22 @@ func (b *testBackend) ExecIn(tx *txn.Txn, sql string) (*Result, error) {
 	default:
 		return nil, fmt.Errorf("test backend: unsupported %T", stmt)
 	}
+}
+
+// resultFromTemp copies a temp table into a wire-ready Result and retires
+// the temp.
+func resultFromTemp(tt *storage.TempTable) *Result {
+	sch := tt.Schema()
+	cols := make([]string, sch.NumCols())
+	for i := range cols {
+		cols[i] = sch.Col(i).Name
+	}
+	rows := make([][]types.Value, tt.Len())
+	for i := range rows {
+		rows[i] = tt.Row(i)
+	}
+	tt.Retire()
+	return &Result{Columns: cols, Rows: rows}
 }
 
 // serverEnv starts a server over a stocks table (S1/30, S2/40, S3/50).
@@ -487,7 +494,7 @@ func TestServerTenantInflightLimit(t *testing.T) {
 }
 
 func TestServerConcurrentSessions(t *testing.T) {
-	srv, _, lm := serverEnv(t, Config{ShareWindow: 2 * time.Millisecond})
+	srv, _, lm := serverEnv(t, Config{})
 	const sessions = 8
 	var wg sync.WaitGroup
 	for i := 0; i < sessions; i++ {
@@ -518,38 +525,6 @@ func TestServerConcurrentSessions(t *testing.T) {
 	}
 	wg.Wait()
 	waitNoLocks(t, lm)
-}
-
-// TestServerSharedScan: two out-of-transaction SELECTs over the same table
-// inside one gather window execute as one shared snapshot group.
-func TestServerSharedScan(t *testing.T) {
-	srv, be, _ := serverEnv(t, Config{ShareWindow: 25 * time.Millisecond})
-
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			conn := dialHello(t, srv.Addr(), "", "")
-			defer conn.Close()
-			typ, p := roundTrip(t, conn, FrameQuery, EncodeSQL("select symbol from stocks where price > 35"))
-			if typ != FrameRows {
-				t.Errorf("shared query answered 0x%02x", typ)
-				return
-			}
-			_, rows, err := DecodeRows(p)
-			if err != nil || len(rows) != 2 {
-				t.Errorf("shared query rows=%v err=%v", rows, err)
-			}
-		}()
-	}
-	wg.Wait()
-	if be.Obs().Counter(obs.MSharedGroups).Load() == 0 {
-		t.Error("no shared group formed")
-	}
-	if be.Obs().Counter(obs.MSharedQueries).Load() < 2 {
-		t.Error("queries did not share a scan")
-	}
 }
 
 func TestServerDrain(t *testing.T) {

@@ -269,9 +269,9 @@ func (s *session) handleTxnEnd(commit bool) bool {
 	return s.send(FrameOK, EncodeOK(0))
 }
 
-// handleSQL runs one QUERY (isQuery) or EXEC frame: decode, parse, admit,
-// execute — inside the session transaction when one is open, auto-committed
-// otherwise. Out-of-transaction QUERY frames are the shared-scan fast path.
+// handleSQL runs one QUERY (isQuery) or EXEC frame: decode, parse once,
+// admit, execute — inside the session transaction when one is open,
+// auto-committed otherwise.
 func (s *session) handleSQL(payload []byte, isQuery bool) bool {
 	reg := s.srv.be.Obs()
 	sql, err := DecodeSQL(payload)
@@ -287,12 +287,14 @@ func (s *session) handleSQL(payload []byte, isQuery bool) bool {
 	if err != nil {
 		return s.sendErr(CodeBadRequest, err.Error())
 	}
-	sel, isSelect := stmt.(*sqlparse.SelectStmt)
+	_, isSelect := stmt.(*sqlparse.SelectStmt)
 	if isQuery && !isSelect {
 		return s.sendErr(CodeBadRequest, "QUERY frames carry SELECT only; use EXEC")
 	}
 	if replica, ready, lag := s.srv.be.ReplicaInfo(); replica {
-		if !isSelect {
+		// EXPLAIN runs its select in a read-only snapshot, so a replica
+		// answers it like any other read.
+		if _, isExplain := stmt.(*sqlparse.ExplainStmt); !isSelect && !isExplain {
 			return s.sendErr(CodeReplica, "replica is read-only; send writes to the primary")
 		}
 		if !ready {
@@ -333,17 +335,13 @@ func (s *session) handleSQL(payload []byte, isQuery bool) bool {
 	s.lastStmt = time.Now()
 	s.mu.Unlock()
 	if tx != nil {
-		res, err = s.srv.be.ExecIn(tx, sql)
+		res, err = s.srv.be.ExecIn(tx, stmt)
 		s.mu.Lock()
 		s.busy = false
 		s.lastStmt = time.Now()
 		s.mu.Unlock()
 	} else {
-		if isSelect {
-			res, err = s.srv.gather.query(sel.Query, sql)
-		} else {
-			res, err = s.srv.be.Exec(sql)
-		}
+		res, err = s.srv.be.Exec(stmt)
 	}
 	if isQuery {
 		reg.Counter(obs.MServerQueries).Inc()

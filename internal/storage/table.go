@@ -336,6 +336,17 @@ func (t *Table) Relink(r *Record) error {
 	return nil
 }
 
+// DetachCopy cuts a rolled-back update's copy off the version it
+// superseded. Rollback has already relinked that version as a live head;
+// left chained, a later committed update of the head would make it
+// reachable both from its new head and through the orphaned copy in the
+// retired set, and snapshot scans would emit the row twice.
+func (t *Table) DetachCopy(r *Record) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	r.older = nil
+}
+
 func (t *Table) link(r *Record) {
 	r.prev = t.tail
 	r.next = nil

@@ -167,6 +167,48 @@ func TestAbortedUpdateNoDuplicate(t *testing.T) {
 	}
 }
 
+// TestAbortedUpdateThenCommittedUpdate covers the rollback's follow-up: once
+// the restored row is updated again and that update commits, a snapshot
+// older than the commit must still see the row exactly once — the abandoned
+// copy in the retired set must not lead back to the superseded version.
+func TestAbortedUpdateThenCommittedUpdate(t *testing.T) {
+	tbl := stocksTable(t)
+	if err := tbl.CreateIndex("symbol", index.Hash); err != nil {
+		t.Fatal(err)
+	}
+	r := commitInsert(t, tbl, 2, types.Str("IBM"), types.Float(30))
+	nr, err := tbl.Update(r, []types.Value{types.Str("IBM"), types.Float(31)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nr.SetWriter(5)
+	// Roll back, the way Txn.Abort does for OpUpdate.
+	if err := tbl.Delete(nr); err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.Relink(r); err != nil {
+		t.Fatal(err)
+	}
+	tbl.DetachCopy(nr)
+	commitUpdate(t, tbl, r, 4, types.Str("IBM"), types.Float(32))
+
+	for _, snap := range []uint64{2, 4} {
+		var vals []float64
+		tbl.ScanSnapshot(snap, 0, func(rec *Record) bool {
+			vals = append(vals, rec.Value(1).Float())
+			return true
+		})
+		want := map[uint64]float64{2: 30, 4: 32}[snap]
+		if len(vals) != 1 || vals[0] != want {
+			t.Errorf("scan at %d = %v, want [%g]", snap, vals, want)
+		}
+		recs, ok := tbl.LookupSnapshot("symbol", types.Str("IBM"), snap, 0)
+		if !ok || len(recs) != 1 || recs[0].Value(1).Float() != want {
+			t.Errorf("probe at %d = %d records (ok %v), want one at %g", snap, len(recs), ok, want)
+		}
+	}
+}
+
 // TestLookupSnapshotChurn verifies the index fast path: exact while indexed
 // columns are immutable, disabled (fall back to scans) once an update
 // changes an indexed value.

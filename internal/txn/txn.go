@@ -826,6 +826,7 @@ func (t *Txn) Abort() error {
 				err = tbl.Relink(rec.Old)
 			}
 			if err == nil {
+				tbl.DetachCopy(rec.New)
 				// The update's copy is gone from the indexes and the
 				// original is back, so any indexed-column churn it counted
 				// must be uncounted or snapshot probes degrade for good.

@@ -79,6 +79,15 @@ func TestReplReplicaConvergesAndIsReadOnly(t *testing.T) {
 	if len(res.Rows) != 2 {
 		t.Fatalf("replica read rows = %d, want 2", len(res.Rows))
 	}
+	// EXPLAIN is a read: the replica answers it over the wire as it does
+	// embedded.
+	res, err = c.Exec(`explain select k from kv where v > 1`)
+	if err != nil {
+		t.Fatalf("wire EXPLAIN on replica: %v", err)
+	}
+	if len(res.Columns) != 1 || res.Columns[0] != "plan" || len(res.Rows) == 0 {
+		t.Fatalf("wire EXPLAIN on replica = %v / %v, want plan lines", res.Columns, res.Rows)
+	}
 	if _, err := c.Exec(`insert into kv values ('x', 9)`); !errors.Is(err, ErrReplica) {
 		t.Fatalf("wire write on replica: %v, want ErrReplica", err)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"github.com/stripdb/strip/internal/obs"
 	"github.com/stripdb/strip/internal/server"
+	"github.com/stripdb/strip/internal/sqlparse"
 	"github.com/stripdb/strip/internal/txn"
 )
 
@@ -30,10 +31,6 @@ type ServeOptions struct {
 	IdleTxnTimeout time.Duration
 	// SessionLifetime bounds a session's total age; 0 = unbounded.
 	SessionLifetime time.Duration
-	// ShareWindow is the gather window for shared snapshot query
-	// execution: compatible read-only queries arriving within one window
-	// run as a single snapshot scan at one LSN. 0 disables sharing.
-	ShareWindow time.Duration
 	// DrainTimeout bounds Close's session drain (default 5s).
 	DrainTimeout time.Duration
 }
@@ -41,21 +38,19 @@ type ServeOptions struct {
 // dbBackend adapts *DB to the server's Backend interface.
 type dbBackend struct{ db *DB }
 
-func (b dbBackend) Begin() *txn.Txn         { return b.db.Begin() }
-func (b dbBackend) BeginReadOnly() *txn.Txn { return b.db.BeginReadOnly() }
-func (b dbBackend) Obs() *obs.Registry      { return b.db.obs }
-func (b dbBackend) Now() int64              { return b.db.clk.Now() }
+func (b dbBackend) Begin() *txn.Txn    { return b.db.Begin() }
+func (b dbBackend) Obs() *obs.Registry { return b.db.obs }
+func (b dbBackend) Now() int64         { return b.db.clk.Now() }
 
-func (b dbBackend) Exec(sql string) (*server.Result, error) {
-	res, err := b.db.Exec(sql)
-	if err != nil {
-		return nil, err
-	}
-	return &server.Result{Columns: res.Columns, Rows: res.Rows, Affected: res.Affected}, nil
+func (b dbBackend) Exec(stmt sqlparse.Stmt) (*server.Result, error) {
+	return wireResult(b.db.exec(stmt))
 }
 
-func (b dbBackend) ExecIn(tx *txn.Txn, sql string) (*server.Result, error) {
-	res, err := b.db.ExecIn(tx, sql)
+func (b dbBackend) ExecIn(tx *txn.Txn, stmt sqlparse.Stmt) (*server.Result, error) {
+	return wireResult(execIn(tx, stmt))
+}
+
+func wireResult(res *Result, err error) (*server.Result, error) {
 	if err != nil {
 		return nil, err
 	}
@@ -110,7 +105,6 @@ func (db *DB) startServer() error {
 		TenantInflight:  db.cfg.Serve.TenantInflight,
 		IdleTxnTimeout:  db.cfg.Serve.IdleTxnTimeout,
 		SessionLifetime: db.cfg.Serve.SessionLifetime,
-		ShareWindow:     db.cfg.Serve.ShareWindow,
 		DrainTimeout:    db.cfg.Serve.DrainTimeout,
 	}, dbBackend{db})
 	if err != nil {

@@ -39,14 +39,11 @@ func serveDial(t *testing.T, db *DB, opts client.Options) *client.Client {
 	return c
 }
 
-// End-to-end smoke over the wire: DDL, DML, queries, an interactive
-// transaction, and the stripmon surface (/metrics and /debug/sessions)
-// scraped while sessions are live.
+// End-to-end smoke over the wire: DDL, DML, queries, an indexed point
+// read, an interactive transaction, and the stripmon surface (/metrics and
+// /debug/sessions) scraped while sessions are live.
 func TestServeSmoke(t *testing.T) {
-	db := serveOpen(t, Config{
-		MonitorAddr: "127.0.0.1:0",
-		Serve:       ServeOptions{ShareWindow: 2 * time.Millisecond},
-	})
+	db := serveOpen(t, Config{MonitorAddr: "127.0.0.1:0"})
 	c := serveDial(t, db, client.Options{})
 
 	if err := c.Ping(); err != nil {
@@ -54,6 +51,7 @@ func TestServeSmoke(t *testing.T) {
 	}
 	for _, sql := range []string{
 		`create table stocks (symbol text, price float)`,
+		`create index on stocks (symbol)`,
 		`insert into stocks values ('IBM', 110)`,
 		`insert into stocks values ('DEC', 60)`,
 	} {
@@ -70,6 +68,24 @@ func TestServeSmoke(t *testing.T) {
 	}
 	if len(res.Columns) != 2 || res.Columns[0] != "symbol" {
 		t.Fatalf("columns = %v", res.Columns)
+	}
+
+	// A served point read on the indexed key probes the index at its
+	// snapshot; it never falls back to a full-table scan.
+	reg := db.Obs()
+	probes, scans := reg.Counter(obs.MMvccSnapshotProbes).Load(), reg.Counter(obs.MMvccSnapshotScans).Load()
+	res, err = c.Query(`select price from stocks where symbol = 'DEC'`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 1 || res.Rows[0][0].Float() != 60 {
+		t.Fatalf("point read rows = %v, want one row of 60", res.Rows)
+	}
+	if d := reg.Counter(obs.MMvccSnapshotProbes).Load() - probes; d == 0 {
+		t.Fatal("indexed point read did not raise mvcc.snapshot_probes")
+	}
+	if d := reg.Counter(obs.MMvccSnapshotScans).Load() - scans; d != 0 {
+		t.Fatalf("indexed point read ran %d snapshot scans, want 0", d)
 	}
 
 	// Interactive transaction: read-own-writes before commit, visible after.
@@ -133,11 +149,11 @@ func TestServeBusyShedOverWire(t *testing.T) {
 	}
 }
 
-// Shared snapshot execution over the wire is transactionally consistent:
-// concurrent transfer writers preserve a constant total, and every remote
-// aggregate — demultiplexed from shared scans at a single LSN — sees it.
-func TestServeSharedSingleLSN(t *testing.T) {
-	db := serveOpen(t, Config{Serve: ServeOptions{ShareWindow: 3 * time.Millisecond}})
+// Served reads are transactionally consistent: concurrent transfer writers
+// preserve a constant total, and every remote aggregate, each run in its
+// own read snapshot, sees it.
+func TestServeSnapshotReadsUnderTransfers(t *testing.T) {
+	db := serveOpen(t, Config{})
 	db.MustExec(`create table positions (sym text, value float)`)
 	const accounts, each = 8, 100.0
 	for i := 0; i < accounts; i++ {
@@ -172,7 +188,7 @@ func TestServeSharedSingleLSN(t *testing.T) {
 		}(w)
 	}
 
-	// Remote readers: concurrent aggregates land in shared gather windows.
+	// Remote readers: concurrent aggregates, one snapshot each.
 	const readers, rounds = 6, 40
 	var torn atomic.Int64
 	var rg sync.WaitGroup
@@ -208,13 +224,7 @@ func TestServeSharedSingleLSN(t *testing.T) {
 	writers.Wait()
 
 	if torn.Load() != 0 {
-		t.Fatalf("%d torn reads — shared scans are not at a single LSN", torn.Load())
-	}
-	if groups := db.Obs().Counter(obs.MSharedGroups).Load(); groups == 0 {
-		t.Fatal("no shared-scan groups formed; sharing did not engage")
-	}
-	if shared := db.Obs().Counter(obs.MSharedQueries).Load(); shared < 2 {
-		t.Fatalf("shared.queries = %d, want >= 2", shared)
+		t.Fatalf("%d torn reads — served snapshots are not at a single LSN", torn.Load())
 	}
 }
 
